@@ -58,9 +58,14 @@ class Atom:
         return (self.aspect, self.category, self.name, self.negated)
 
     def token(self) -> str:
-        """Unambiguous string key (posting-list / payload identity)."""
-        return canonical_json([self.aspect, self.category, self.name,
-                               self.negated])
+        """Unambiguous string key (posting-list / payload identity),
+        rendered once per atom."""
+        token = self.__dict__.get("_token")
+        if token is None:
+            token = canonical_json([self.aspect, self.category, self.name,
+                                    self.negated])
+            object.__setattr__(self, "_token", token)
+        return token
 
     def to_payload(self) -> dict:
         return {"aspect": self.aspect, "category": self.category,
@@ -166,10 +171,15 @@ class LogicalForm:
     fingerprint: str = field(compare=False, default="")
 
     def atoms(self) -> tuple[Atom, ...]:
-        """Sorted unique atoms across all clauses."""
-        return tuple(sorted({atom for clause in self.clauses
-                             for atom in clause.atoms()},
-                            key=lambda a: a.key()))
+        """Sorted unique atoms across all clauses (computed once: the
+        form is frozen, and predicate evaluation asks on every call)."""
+        atoms = self.__dict__.get("_atoms")
+        if atoms is None:
+            atoms = tuple(sorted({atom for clause in self.clauses
+                                  for atom in clause.atoms()},
+                                 key=lambda a: a.key()))
+            object.__setattr__(self, "_atoms", atoms)
+        return atoms
 
     def spans_for(self, atom: Atom) -> list[tuple[int, EvidenceSpan]]:
         """Every ``(line, span)`` behind one atom, in clause order."""

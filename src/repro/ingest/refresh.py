@@ -4,16 +4,18 @@ A watcher round produces a small :class:`RecordPatch` set; this module
 applies it to a serving snapshot without rebuilding the world:
 
 - :func:`apply_patches` edits a plain :class:`CorpusSnapshot` and
-  re-canonicalizes through ``build_snapshot`` — the refreshed snapshot
-  is *by construction* byte-identical to building from scratch over the
-  same record set (same sort, same dedup, same fingerprint function).
+  re-sorts it by domain — the refreshed snapshot is *by construction*
+  byte-identical to building from scratch over the same record set
+  (same sort, same dedup, same fingerprint function). Records carry
+  their canonical texts, so only the patched records are encoded.
 - :func:`apply_patches_sharded` routes each patch to the shard owning
   its domain (``shard_for_domain``) and rebuilds **only touched shards**
   — their records, posting lists, and fingerprints; untouched shard
   objects are reused identically (the same Python objects, so a
   downstream :class:`~repro.serve.shard.ShardedEngine` built with
-  ``reuse_from`` skips their index builds too). The global fingerprint
-  is recomputed over the merged stream and re-verified atomically:
+  ``reuse_from`` skips their index builds too, and touched shards
+  recompile only their changed records). The global fingerprint is
+  computed over the merged texts and re-verified atomically:
   :func:`verify_sharded` re-derives every shard fingerprint, the routing
   invariant, and the global fingerprint before anything is served or
   written.
@@ -33,10 +35,9 @@ authoritative global fingerprint.
 
 from __future__ import annotations
 
-import heapq
+import dataclasses
 import json
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 
 from repro._util.artifacts import write_json_atomic
@@ -47,17 +48,17 @@ from repro.serve.shard import (
     SHARDED_SCHEMA_VERSION,
     ShardedSnapshot,
     _shard_filename,
+    merged_texts,
     shard_for_domain,
 )
 from repro.serve.snapshot import (
     CorpusSnapshot,
-    build_snapshot,
+    record_text,
     snapshot_fingerprint,
     snapshot_from_cache,
+    texts_digest,
     write_snapshot,
 )
-
-_DOMAIN_KEY = attrgetter("domain")
 
 _PATCH_OPS = ("upsert", "remove")
 
@@ -98,27 +99,47 @@ class RecordPatch:
         return cls(op="remove", domain=domain)
 
 
-def _patched_records(records, patches,
-                     context: str) -> list[DomainAnnotations]:
-    by_domain = {record.domain: record for record in records}
+def _patched_entries(snapshot: CorpusSnapshot, patches,
+                     context: str) -> list[tuple[DomainAnnotations, str]]:
+    """``(record, text)`` pairs after ``patches``, in domain order.
+
+    Only upserted records are encoded; an upsert whose text equals the
+    current one keeps the current record object and text.
+    """
+    entries = {record.domain: (record, text) for record, text
+               in zip(snapshot.records, snapshot.record_texts())}
     for patch in patches:
         if patch.op == "remove":
-            if patch.domain not in by_domain:
+            if patch.domain not in entries:
                 raise IngestError(
                     f"cannot remove {patch.domain!r}: not present in "
                     f"{context}")
-            del by_domain[patch.domain]
+            del entries[patch.domain]
         else:
-            by_domain[patch.domain] = patch.record
-    return list(by_domain.values())
+            text = record_text(patch.record)
+            current = entries.get(patch.domain)
+            if current is None or current[1] != text:
+                entries[patch.domain] = (patch.record, text)
+    return [entries[domain] for domain in sorted(entries)]
+
+
+def _entries_snapshot(entries, *, source: str,
+                      provenance: dict) -> CorpusSnapshot:
+    texts = tuple(text for _, text in entries)
+    return CorpusSnapshot(records=tuple(record for record, _ in entries),
+                          fingerprint=texts_digest(texts),
+                          source=source, provenance=provenance,
+                          texts=texts)
 
 
 def apply_patches(snapshot: CorpusSnapshot,
                   patches: list[RecordPatch]) -> CorpusSnapshot:
-    """Apply a patch set to a plain snapshot; canonical by construction."""
-    records = _patched_records(snapshot.records, patches, "snapshot")
-    return build_snapshot(records, source=snapshot.source,
-                          provenance=dict(snapshot.provenance))
+    """Apply a patch set to a plain snapshot; canonical by construction
+    (sorted by domain, fingerprint over the texts as ``build_snapshot``
+    computes it)."""
+    return _entries_snapshot(
+        _patched_entries(snapshot, patches, "snapshot"),
+        source=snapshot.source, provenance=dict(snapshot.provenance))
 
 
 @dataclass(frozen=True)
@@ -145,11 +166,11 @@ def apply_patches_sharded(sharded: ShardedSnapshot,
     """Patch only the shards owning the changed domains.
 
     Untouched shard snapshots are reused as the same objects; touched
-    shards are rebuilt through ``build_snapshot`` (fresh records, posting
-    lists downstream, and fingerprint). The global fingerprint is
-    recomputed over the merged record stream and the whole result is
-    re-verified before being returned — a bad patch set raises instead of
-    producing a servable-looking lie.
+    shards are rebuilt from their current record objects and texts plus
+    the patched records, which are the only ones encoded. The global
+    fingerprint is computed over the merged texts, and the whole result
+    is re-verified from the record objects before being returned — a bad
+    patch set raises instead of producing a servable-looking lie.
     """
     count = len(sharded.shards)
     if not patches:
@@ -159,24 +180,18 @@ def apply_patches_sharded(sharded: ShardedSnapshot,
         routed.setdefault(shard_for_domain(patch.domain, count),
                           []).append(patch)
 
-    buckets: dict[int, list[DomainAnnotations]] = {}
-    for index, shard_patches in routed.items():
-        buckets[index] = _patched_records(
-            sharded.shards[index].records, shard_patches,
-            f"shard {index}")
-    merged = list(heapq.merge(
-        *(sorted(buckets[i], key=_DOMAIN_KEY) if i in buckets
-          else sharded.shards[i].records for i in range(count)),
-        key=_DOMAIN_KEY))
-    fingerprint = snapshot_fingerprint(merged)
-
+    patched = {index: _patched_entries(sharded.shards[index],
+                                       shard_patches, f"shard {index}")
+               for index, shard_patches in routed.items()}
     shards = list(sharded.shards)
-    for index, bucket in buckets.items():
-        shards[index] = build_snapshot(
-            bucket, source=sharded.source,
-            provenance={**sharded.provenance, "shard": index,
-                        "shards": count,
-                        "corpus_fingerprint": fingerprint})
+    for index, entries in patched.items():
+        shards[index] = _entries_snapshot(entries, source=sharded.source,
+                                          provenance={})
+    fingerprint = texts_digest(merged_texts(shards))
+    for index in patched:
+        shards[index] = dataclasses.replace(shards[index], provenance={
+            **sharded.provenance, "shard": index, "shards": count,
+            "corpus_fingerprint": fingerprint})
     refreshed = ShardedSnapshot(shards=tuple(shards),
                                 fingerprint=fingerprint,
                                 source=sharded.source,
@@ -206,11 +221,13 @@ def verify_sharded(sharded: ShardedSnapshot, *,
                 else sorted(set(shards)))
     for index in selected:
         shard = sharded.shards[index]
-        actual = snapshot_fingerprint(list(shard.records))
-        if actual != shard.fingerprint:
+        texts = tuple(record_text(record) for record in shard.records)
+        actual = texts_digest(texts)
+        if actual != shard.fingerprint or texts != shard.record_texts():
             raise SnapshotError(
-                f"shard {index} fingerprints {actual[:12]}…, carries "
-                f"{shard.fingerprint[:12]}…",
+                f"shard {index} records fingerprint {actual[:12]}…, "
+                f"carries {shard.fingerprint[:12]}… (or texts that "
+                f"differ from its records)",
                 reason="shard-fingerprint-mismatch")
         for record in shard.records:
             assigned = shard_for_domain(record.domain, count)

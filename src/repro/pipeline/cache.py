@@ -224,7 +224,7 @@ class CachedRecord:
     def to_payload(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
-            "record": json.loads(self.record.to_json()),
+            "record": self.record.to_payload(),
             "trace": asdict(self.trace),
             "prompt_tokens": self.prompt_tokens,
             "completion_tokens": self.completion_tokens,
@@ -234,8 +234,7 @@ class CachedRecord:
     @classmethod
     def from_payload(cls, payload: dict) -> "CachedRecord":
         return cls(
-            record=DomainAnnotations.from_json(
-                json.dumps(payload["record"])),
+            record=DomainAnnotations.from_payload(payload["record"]),
             trace=DomainTrace(**payload["trace"]),
             prompt_tokens=payload["prompt_tokens"],
             completion_tokens=payload["completion_tokens"],

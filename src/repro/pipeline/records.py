@@ -9,7 +9,7 @@ annotation in context.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 
@@ -96,12 +96,45 @@ class DomainAnnotations:
 
     # -- serialization -----------------------------------------------------------
 
+    def to_payload(self) -> dict:
+        """JSON-ready dict, keys in field order: ``dataclasses.asdict``'s
+        rendering, built by hand because its generic deep copy costs more
+        than the encode. The string lists are the record's own; the
+        payload is for encoding, not editing."""
+        return {
+            "domain": self.domain,
+            "sector": self.sector,
+            "status": self.status,
+            "types": [{"category": t.category,
+                       "meta_category": t.meta_category,
+                       "descriptor": t.descriptor, "verbatim": t.verbatim,
+                       "line": t.line, "novel": t.novel}
+                      for t in self.types],
+            "purposes": [{"category": p.category,
+                          "meta_category": p.meta_category,
+                          "descriptor": p.descriptor,
+                          "verbatim": p.verbatim, "line": p.line,
+                          "novel": p.novel}
+                         for p in self.purposes],
+            "handling": [{"group": h.group, "label": h.label,
+                          "verbatim": h.verbatim, "line": h.line,
+                          "period_text": h.period_text,
+                          "period_days": h.period_days}
+                         for h in self.handling],
+            "rights": [{"group": r.group, "label": r.label,
+                        "verbatim": r.verbatim, "line": r.line}
+                       for r in self.rights],
+            "fallback_aspects": self.fallback_aspects,
+            "extracted_aspects": self.extracted_aspects,
+            "policy_words": self.policy_words,
+            "hallucinations_filtered": self.hallucinations_filtered,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(asdict(self), ensure_ascii=False)
+        return json.dumps(self.to_payload(), ensure_ascii=False)
 
     @classmethod
-    def from_json(cls, raw: str) -> "DomainAnnotations":
-        data = json.loads(raw)
+    def from_payload(cls, data: dict) -> "DomainAnnotations":
         return cls(
             domain=data["domain"],
             sector=data["sector"],
@@ -115,6 +148,10 @@ class DomainAnnotations:
             policy_words=data.get("policy_words", 0),
             hallucinations_filtered=data.get("hallucinations_filtered", 0),
         )
+
+    @classmethod
+    def from_json(cls, raw: str) -> "DomainAnnotations":
+        return cls.from_payload(json.loads(raw))
 
 
 def write_jsonl(records: list[DomainAnnotations], path: str | Path) -> None:

@@ -198,7 +198,11 @@ class CorpusIndex:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def build(cls, snapshot: CorpusSnapshot) -> "CorpusIndex":
+    def build(cls, snapshot: CorpusSnapshot, *,
+              reuse: "CorpusIndex | None" = None) -> "CorpusIndex":
+        """Index ``snapshot``; ``reuse`` is an index over an earlier
+        generation whose compiled compliance is adopted for every record
+        whose canonical text is unchanged (see ``_build_compliance``)."""
         index = cls(snapshot=snapshot)
         sector_sets: dict[str, set[str]] = {}
         status_sets: dict[str, set[str]] = {}
@@ -255,13 +259,33 @@ class CorpusIndex:
         }
         index.domains_by_extracted_aspect = freeze(extracted_sets)
         index._build_aggregates()
-        index._build_compliance()
+        index._build_compliance(reuse)
         return index
 
-    def _build_compliance(self) -> None:
-        """Compile every record; build atom postings + pack verdict rows."""
-        self.logical_forms = tuple(compile_record(record)
-                                   for record in self.snapshot.records)
+    def _build_compliance(self, reuse: "CorpusIndex | None") -> None:
+        """Compile every record; build atom postings + pack verdict rows.
+
+        A logical form and its verdict rows are pure functions of the
+        record, so a record whose canonical text equals the one ``reuse``
+        indexed adopts that index's form and rows; only new or changed
+        records are compiled and evaluated.
+        """
+        previous = {} if reuse is None else {
+            record.domain: (text, form)
+            for record, text, form in zip(
+                reuse.snapshot.records, reuse.snapshot.record_texts(),
+                reuse.logical_forms)}
+        forms, fresh = [], []
+        for record, text in zip(self.snapshot.records,
+                                self.snapshot.record_texts()):
+            old = previous.get(record.domain)
+            if old is not None and old[0] == text:
+                forms.append(old[1])
+            else:
+                form = compile_record(record)
+                forms.append(form)
+                fresh.append(form)
+        self.logical_forms = tuple(forms)
         atom_sets: dict[str, set[str]] = {}
         catalog: dict[str, set[Atom]] = {}
         for form in self.logical_forms:
@@ -274,9 +298,15 @@ class CorpusIndex:
         self.atoms_by_aspect = {aspect: sorted(atoms,
                                                key=lambda a: a.key())
                                 for aspect, atoms in sorted(catalog.items())}
-        forms = list(self.logical_forms)
-        self.compliance_rows = {name: pack_rows(pack, forms)
-                                for name, pack in RULE_PACKS.items()}
+        fresh_rows = {name: pack_rows(pack, fresh)
+                      for name, pack in RULE_PACKS.items()}
+        self.compliance_rows = {
+            name: {rule_id: {
+                form.domain: rows[form.domain] if form.domain in rows
+                else reuse.compliance_rows[name][rule_id][form.domain]
+                for form in forms}
+                for rule_id, rows in pack.items()}
+            for name, pack in fresh_rows.items()}
 
     # -- compliance lookups ----------------------------------------------
 

@@ -87,7 +87,7 @@ import math
 import queue
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass
 
@@ -124,9 +124,9 @@ class ServerConfig:
     cache_entries: int = 256
     #: Seconds a cached result stays servable.
     cache_ttl_s: float = 300.0
-    #: Per-endpoint latency samples kept for percentile computation;
-    #: beyond this the counters still advance but samples are dropped,
-    #: keeping long-running servers at bounded memory.
+    #: Per-endpoint latency samples kept for percentile computation: the
+    #: most recent ones, so memory stays bounded on long-running servers
+    #: while the percentiles follow current traffic.
     max_latency_samples: int = 100_000
     #: Index shards; >1 partitions the snapshot by domain hash and serves
     #: through the scatter-gather :class:`~repro.serve.shard.ShardedEngine`
@@ -142,6 +142,9 @@ class ServerConfig:
                 f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
+        if self.max_latency_samples < 0:
+            raise ValueError("max_latency_samples must be >= 0, got "
+                             f"{self.max_latency_samples}")
 
 
 @dataclass(frozen=True)
@@ -245,13 +248,19 @@ class ResultCache:
 
 
 class ServeMetrics:
-    """Per-endpoint counters + latency reservoirs, thread-safe."""
+    """Per-endpoint counters + latency windows, thread-safe.
+
+    Each endpoint keeps its most recent ``max_samples`` latencies, so the
+    percentiles of a long-running server describe its current traffic.
+    """
 
     def __init__(self, max_samples: int = 100_000):
+        if max_samples < 0:
+            raise ValueError(f"max_samples must be >= 0, got {max_samples}")
         self.counters = StageTimings()
         self._max_samples = max_samples
         self._lock = threading.Lock()
-        self._latencies: dict[str, list[float]] = {}
+        self._latencies: dict[str, deque[float]] = {}
 
     def record(self, kind: str, status: str, cached: bool,
                latency_s: float) -> None:
@@ -261,9 +270,11 @@ class ServeMetrics:
             if status == OK:
                 self.counters.increment(
                     f"serve.{kind}.cache.{'hit' if cached else 'miss'}")
-            bucket = self._latencies.setdefault(kind, [])
-            if len(bucket) < self._max_samples:
-                bucket.append(latency_s)
+            bucket = self._latencies.get(kind)
+            if bucket is None:
+                bucket = self._latencies[kind] = deque(
+                    maxlen=self._max_samples)
+            bucket.append(latency_s)
 
     def record_shed(self, kind: str) -> None:
         with self._lock:
@@ -382,7 +393,9 @@ def _build_generation(snapshot, config: ServerConfig,
 
     ``reuse`` (the outgoing generation) lets a sharded build adopt the
     old engine's indexes for shards whose content fingerprint is
-    unchanged — the incremental-refresh fast path.
+    unchanged — the incremental-refresh fast path — and lets any rebuilt
+    index adopt the compiled compliance of records whose text is
+    unchanged.
     """
     if isinstance(snapshot, ShardedSnapshot):
         sharded: ShardedSnapshot | None = snapshot
@@ -400,7 +413,9 @@ def _build_generation(snapshot, config: ServerConfig,
         index = engine
         fingerprint = sharded.fingerprint
     else:
-        index = CorpusIndex.build(snapshot)
+        previous = reuse.index if reuse is not None \
+            and isinstance(reuse.index, CorpusIndex) else None
+        index = CorpusIndex.build(snapshot, reuse=previous)
         engine = QueryEngine(index)
         fingerprint = snapshot.fingerprint
     return _Generation(snapshot=snapshot, sharded=sharded, engine=engine,

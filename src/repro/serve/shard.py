@@ -77,7 +77,7 @@ from repro.serve.snapshot import (
     CorpusSnapshot,
     build_snapshot,
     load_snapshot,
-    snapshot_fingerprint,
+    texts_digest,
     write_snapshot,
 )
 
@@ -130,26 +130,39 @@ class ShardedSnapshot:
                                 key=_DOMAIN_KEY))
 
 
+def merged_texts(shards) -> list[str]:
+    """The k-way merge of shard snapshots' texts by domain."""
+    return [text for _, text in heapq.merge(
+        *(zip([r.domain for r in shard.records], shard.record_texts())
+          for shard in shards))]
+
+
 def partition_snapshot(snapshot: CorpusSnapshot,
                        shards: int) -> ShardedSnapshot:
     """Cut one snapshot into N hash-routed shard snapshots.
 
     Each shard is a full-fledged verified snapshot (its own fingerprint
     over its own records); shard provenance records the placement so a
-    shard file found on disk is self-describing.
+    shard file found on disk is self-describing. Shards hold the parent's
+    record objects and texts; no record is encoded again.
     """
     if shards < 1:
         raise SnapshotError(f"shard count must be >= 1, got {shards}")
-    buckets: list[list[DomainAnnotations]] = [[] for _ in range(shards)]
-    for record in snapshot.records:
-        buckets[shard_for_domain(record.domain, shards)].append(record)
+    buckets: list[tuple[list, list]] = [([], []) for _ in range(shards)]
+    for record, text in zip(snapshot.records, snapshot.record_texts()):
+        records, texts = buckets[shard_for_domain(record.domain, shards)]
+        records.append(record)
+        texts.append(text)
     shard_snapshots = tuple(
-        build_snapshot(bucket, source=snapshot.source,
+        CorpusSnapshot(records=tuple(records),
+                       fingerprint=texts_digest(texts),
+                       source=snapshot.source,
                        provenance={**snapshot.provenance,
                                    "shard": index, "shards": shards,
                                    "corpus_fingerprint":
-                                       snapshot.fingerprint})
-        for index, bucket in enumerate(buckets))
+                                       snapshot.fingerprint},
+                       texts=tuple(texts))
+        for index, (records, texts) in enumerate(buckets))
     return ShardedSnapshot(shards=shard_snapshots,
                            fingerprint=snapshot.fingerprint,
                            source=snapshot.source,
@@ -266,9 +279,7 @@ def load_sharded_snapshot(directory: str | Path) -> ShardedSnapshot:
                     f"shard count", reason="shard-misrouted")
         shards.append(shard)
 
-    merged = list(heapq.merge(*(s.records for s in shards),
-                              key=_DOMAIN_KEY))
-    actual = snapshot_fingerprint(merged)
+    actual = texts_digest(merged_texts(shards))
     stored = manifest.get("fingerprint")
     if actual != stored:
         raise SnapshotError(
@@ -318,7 +329,10 @@ class ShardedEngine:
     :class:`CorpusIndex` instead of rebuilding it. Safe because a shard
     index is a pure function of the shard snapshot's records (which
     determine its fingerprint) and is read-only after build; ``reused_shards``
-    reports how many rebuilds were skipped.
+    reports how many rebuilds were skipped. A shard that is rebuilt
+    still hands the old index at its position to ``CorpusIndex.build``
+    as ``reuse``, so only its new or changed records are compiled and
+    evaluated.
     """
 
     def __init__(self, sharded: ShardedSnapshot,
@@ -326,18 +340,22 @@ class ShardedEngine:
         self.sharded = sharded
         self.fingerprint = sharded.fingerprint
         reusable: dict[str, CorpusIndex] = {}
+        previous: list = [None] * sharded.shard_count
         if reuse_from is not None:
             for index in reuse_from.shard_indexes:
                 reusable[index.snapshot.fingerprint] = index
+            if reuse_from.shard_count == sharded.shard_count:
+                previous = list(reuse_from.shard_indexes)
         self.reused_shards = 0
         self.shard_indexes = []
-        for shard in sharded.shards:
+        for shard, before in zip(sharded.shards, previous):
             cached = reusable.get(shard.fingerprint)
             if cached is not None:
                 self.shard_indexes.append(cached)
                 self.reused_shards += 1
             else:
-                self.shard_indexes.append(CorpusIndex.build(shard))
+                self.shard_indexes.append(
+                    CorpusIndex.build(shard, reuse=before))
         self.shard_engines = [QueryEngine(index)
                               for index in self.shard_indexes]
         records = sharded.records()
@@ -493,6 +511,7 @@ __all__ = [
     "ShardedSnapshot",
     "load_sharded_snapshot",
     "merged_snapshot",
+    "merged_texts",
     "partition_snapshot",
     "shard_for_domain",
     "write_sharded_snapshot",

@@ -13,6 +13,12 @@ without re-running any pipeline stage. Design points:
   :func:`repro._util.artifacts.content_digest`). :func:`load_snapshot`
   recomputes and verifies it, so a truncated or hand-edited snapshot is
   rejected instead of silently serving wrong answers.
+- **Record texts.** A snapshot carries each record's canonical JSON text
+  (:func:`record_text`) next to the record. The fingerprint is the
+  digest of those texts joined as a JSON list (:func:`texts_digest`,
+  byte-equal to ``content_digest`` over the payloads), so shards and
+  patched generations derive their fingerprints from texts they already
+  hold and encode only the records that changed.
 - **Atomic writes.** :func:`write_snapshot` goes through temp-file +
   ``os.replace``; a crash mid-write never leaves a torn snapshot where a
   server could pick it up.
@@ -24,11 +30,12 @@ without re-running any pipeline stage. Design points:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro._util.artifacts import content_digest, write_json_atomic
+from repro._util.artifacts import canonical_json, write_json_atomic
 from repro.errors import SnapshotError
 from repro.pipeline.records import DomainAnnotations
 
@@ -37,18 +44,33 @@ from repro.pipeline.records import DomainAnnotations
 SNAPSHOT_SCHEMA_VERSION = 1
 
 
-def _record_payloads(records: list[DomainAnnotations]) -> list[dict]:
-    """Canonical JSON-ready payloads: sorted by domain, first dup wins."""
+def record_text(record: DomainAnnotations) -> str:
+    """A record's canonical JSON text: the unit fingerprints are over."""
+    return canonical_json(record.to_payload())
+
+
+def texts_digest(texts) -> str:
+    """SHA-256 of record texts rendered as one canonical JSON list.
+
+    Byte-equal to ``content_digest([json.loads(t) for t in texts])``:
+    a canonical list is its canonical elements joined by ``,``.
+    """
+    joined = "[" + ",".join(texts) + "]"
+    return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+
+
+def _canonical_records(records) -> list[DomainAnnotations]:
+    """Sorted by domain, first duplicate wins."""
     by_domain: dict[str, DomainAnnotations] = {}
     for record in records:
         by_domain.setdefault(record.domain, record)
-    return [json.loads(by_domain[domain].to_json())
-            for domain in sorted(by_domain)]
+    return [by_domain[domain] for domain in sorted(by_domain)]
 
 
 def snapshot_fingerprint(records: list[DomainAnnotations]) -> str:
     """Content fingerprint of a record set's canonical snapshot payload."""
-    return content_digest(_record_payloads(records))
+    return texts_digest(record_text(record)
+                        for record in _canonical_records(records))
 
 
 @dataclass(frozen=True)
@@ -64,6 +86,15 @@ class CorpusSnapshot:
     source: str = "records"
     #: Free-form provenance (corpus seed, fraction, options fingerprint).
     provenance: dict = field(default_factory=dict)
+    #: Each record's :func:`record_text`, aligned with ``records``; empty
+    #: on a snapshot assembled by hand (see :meth:`record_texts`).
+    texts: tuple[str, ...] = field(default=(), compare=False, repr=False)
+
+    def record_texts(self) -> tuple[str, ...]:
+        """The carried texts, or the records encoded when none are."""
+        if len(self.texts) == len(self.records):
+            return self.texts
+        return tuple(record_text(record) for record in self.records)
 
     def domain_count(self) -> int:
         return len(self.records)
@@ -82,21 +113,25 @@ class CorpusSnapshot:
             "provenance": self.provenance,
             "domains": self.domain_count(),
             "statuses": self.status_counts(),
-            "records": [json.loads(r.to_json()) for r in self.records],
+            "records": [r.to_payload() for r in self.records],
         }
 
 
 def build_snapshot(records: list[DomainAnnotations], *,
                    source: str = "records",
                    provenance: dict | None = None) -> CorpusSnapshot:
-    """Freeze a record list into a canonical snapshot."""
-    payloads = _record_payloads(records)
-    canonical = tuple(
-        DomainAnnotations.from_json(json.dumps(p)) for p in payloads)
+    """Freeze a record list into a canonical snapshot.
+
+    The snapshot holds the given record objects (records are values:
+    nothing edits one after the pipeline builds it), each encoded once.
+    """
+    canonical = tuple(_canonical_records(records))
+    texts = tuple(record_text(record) for record in canonical)
     return CorpusSnapshot(records=canonical,
-                          fingerprint=content_digest(payloads),
+                          fingerprint=texts_digest(texts),
                           source=source,
-                          provenance=dict(provenance or {}))
+                          provenance=dict(provenance or {}),
+                          texts=texts)
 
 
 def snapshot_from_result(result, *, provenance: dict | None = None
@@ -188,13 +223,14 @@ def load_snapshot(path: str | Path) -> CorpusSnapshot:
         raise SnapshotError(f"snapshot {path} carries no record list",
                             reason="missing-records")
     try:
-        records = tuple(DomainAnnotations.from_json(json.dumps(r))
+        records = tuple(DomainAnnotations.from_payload(r)
                         for r in raw_records)
     except (KeyError, TypeError) as exc:
         raise SnapshotError(
             f"snapshot {path} holds a malformed record: {exc}",
             reason="malformed-record") from exc
-    actual = content_digest(raw_records)
+    raw_texts = [canonical_json(r) for r in raw_records]
+    actual = texts_digest(raw_texts)
     stored = payload.get("fingerprint")
     if actual != stored:
         raise SnapshotError(
@@ -202,9 +238,16 @@ def load_snapshot(path: str | Path) -> CorpusSnapshot:
             f"{str(stored)[:12]}…, recomputed {actual[:12]}… — the file "
             f"was truncated or modified after writing",
             reason="fingerprint-mismatch")
+    # A stored record missing optional keys (or carrying unknown ones)
+    # parses to a record whose own text differs from the stored one;
+    # only those are re-encoded.
+    texts = tuple(text if record.to_payload() == raw else record_text(record)
+                  for record, raw, text
+                  in zip(records, raw_records, raw_texts))
     return CorpusSnapshot(records=records, fingerprint=actual,
                           source=str(payload.get("source", "records")),
-                          provenance=dict(payload.get("provenance") or {}))
+                          provenance=dict(payload.get("provenance") or {}),
+                          texts=texts)
 
 
 __all__ = [
@@ -212,8 +255,10 @@ __all__ = [
     "CorpusSnapshot",
     "build_snapshot",
     "load_snapshot",
+    "record_text",
     "snapshot_fingerprint",
     "snapshot_from_cache",
     "snapshot_from_result",
+    "texts_digest",
     "write_snapshot",
 ]

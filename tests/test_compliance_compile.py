@@ -189,6 +189,19 @@ def test_compiled_form_is_canonical(record):
         assert clause.entries, "empty clause"
 
 
+@given(record=records())
+def test_atoms_are_computed_once_and_sorted_unique(record):
+    form = compile_record(record)
+    atoms = form.atoms()
+    assert form.atoms() is atoms
+    assert list(atoms) == sorted({atom for clause in form.clauses
+                                  for atom in clause.atoms()},
+                                 key=lambda a: a.key())
+    # The memo is not content: equality and hashing ignore it.
+    again = compile_record(record)
+    assert again == form and hash(again) == hash(form)
+
+
 @given(record_lists=st.lists(records(), min_size=1, max_size=4),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_corpus_fingerprint_ignores_record_order(record_lists, seed):

@@ -162,6 +162,35 @@ class TestVerifySharded:
             verify_sharded(bad)
         assert excinfo.value.reason == "shard-fingerprint-mismatch"
 
+    def test_records_disagreeing_with_carried_texts_detected(self):
+        """Shard fingerprints are computed from carried texts but
+        verified from the record objects: a shard whose records were
+        swapped under consistent texts and fingerprint is caught."""
+        sharded = partition_snapshot(_snapshot(10), 3)
+        shard = sharded.shards[1]
+        swapped = (_record(shard.records[0].domain, verbatim="swapped"),) \
+            + shard.records[1:]
+        lying = dataclasses.replace(shard, records=swapped)
+        assert lying.texts == shard.texts
+        assert lying.fingerprint == shard.fingerprint
+        bad = dataclasses.replace(
+            sharded, shards=(sharded.shards[0], lying) + sharded.shards[2:])
+        with pytest.raises(SnapshotError) as excinfo:
+            verify_sharded(bad, shards=[1])
+        assert excinfo.value.reason == "shard-fingerprint-mismatch"
+
+    def test_texts_disagreeing_with_records_detected(self):
+        sharded = partition_snapshot(_snapshot(10), 3)
+        shard = sharded.shards[2]
+        forged = (shard.texts[0].replace("verbatim", "forged"),) \
+            + shard.texts[1:]
+        lying = dataclasses.replace(shard, texts=forged)
+        bad = dataclasses.replace(
+            sharded, shards=sharded.shards[:2] + (lying,))
+        with pytest.raises(SnapshotError) as excinfo:
+            verify_sharded(bad, shards=[2])
+        assert excinfo.value.reason == "shard-fingerprint-mismatch"
+
     def test_misrouted_record_detected(self):
         sharded = partition_snapshot(_snapshot(10), 3)
         stray = next(r for r in sharded.shards[1].records

@@ -144,13 +144,33 @@ class TestServeMetrics:
         metrics = ServeMetrics(max_samples=5)
         for n in range(20):
             metrics.record("domain", OK, False, float(n))
-        assert metrics.latency_percentiles("domain")["p99"] == 4.0
+        # The window holds the five most recent samples, 15..19.
+        assert metrics.latency_percentiles("domain") == \
+            {"p50": 17.0, "p95": 19.0, "p99": 19.0}
         assert metrics.request_count("domain") == 20  # counters unaffected
+
+    def test_negative_window_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="max_samples"):
+            ServeMetrics(max_samples=-1)
+
+    def test_late_slow_requests_move_p99(self):
+        """A long-running server's tail describes its current traffic,
+        not the traffic it saw first."""
+        metrics = ServeMetrics(max_samples=100)
+        for _ in range(1000):
+            metrics.record("domain", OK, False, 0.001)
+        assert metrics.latency_percentiles("domain")["p99"] == 0.001
+        for _ in range(60):
+            metrics.record("domain", OK, False, 0.5)
+        assert metrics.latency_percentiles("domain")["p99"] == 0.5
+        assert metrics.latency_percentiles()["p50"] == 0.5
 
 
 class TestServerConfig:
     @pytest.mark.parametrize("kwargs", [{"workers": 0},
-                                        {"queue_depth": 0}])
+                                        {"queue_depth": 0},
+                                        {"shards": 0},
+                                        {"max_latency_samples": -1}])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ServerConfig(**kwargs)
